@@ -117,19 +117,38 @@ class QAPEncoding:
         """The padded diversity matrix ``B`` (Eq. 5)."""
         return self.diversity
 
-    def profit_matrix(self, matched_weight: np.ndarray) -> np.ndarray:
+    @cached_property
+    def class_sizes(self) -> np.ndarray:
+        """Columns per column class of the LSAP profits: ``x_max`` for each
+        worker's clique, then the isolated padding vertices, if any.
+
+        Columns of one class are identical in :meth:`profit_matrix`, since
+        ``degA_l`` and ``c[k, l]`` depend on ``l`` only through its clique.
+        """
+        padding = self.n_vertices - self.n_workers * self.x_max
+        sizes = [self.x_max] * self.n_workers + ([padding] if padding else [])
+        return np.array(sizes, dtype=np.intp)
+
+    def profit_matrix(
+        self, matched_weight: np.ndarray, by_class: bool = False
+    ) -> np.ndarray:
         """The auxiliary LSAP profits ``f[k, l] = bM(t_k) * degA_l + c[k, l]``
-        (Algorithm 1 line 10), without materializing ``C``."""
+        (Algorithm 1 line 10), without materializing ``C``.
+
+        ``by_class=True`` returns one column per entry of
+        :attr:`class_sizes` instead of the full ``(n, n)`` matrix, which
+        repeats each class column ``class_sizes`` times.
+        """
         if matched_weight.shape != (self.n_vertices,):
             raise InvalidInstanceError(
                 f"matched_weight must have shape ({self.n_vertices},), "
                 f"got {matched_weight.shape}"
             )
-        f = np.outer(matched_weight, self.deg_a)
-        owners = self.worker_of_vertex
-        clique_cols = np.flatnonzero(owners >= 0)
-        f[:, clique_cols] += self.c_matrix_compact[:, owners[clique_cols]]
-        return f
+        clique_degree = self.alphas * (self.x_max - 1)
+        f = np.outer(matched_weight, clique_degree) + self.c_matrix_compact
+        if len(self.class_sizes) > self.n_workers:
+            f = np.hstack([f, np.zeros((self.n_vertices, 1))])
+        return f if by_class else np.repeat(f, self.class_sizes, axis=1)
 
     def objective(self, permutation: np.ndarray) -> float:
         """Eq. 8's right-hand side for ``permutation`` (vertex of each task).

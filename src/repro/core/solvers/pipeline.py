@@ -7,8 +7,12 @@ auxiliary LSAP (line 11) is solved:
 2. *matching* — a (greedy) maximum-weight matching ``M_B`` on the diversity
    graph ``B``;
 3. *profits* — the auxiliary LSAP profit matrix
-   ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10);
-4. *lsap* — solve the LSAP: Hungarian for HTA-APP, greedy for HTA-GRE;
+   ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10), kept as one column
+   per worker clique plus one for the padding vertices: the columns of a
+   class are identical;
+4. *lsap* — solve the LSAP: Hungarian for HTA-APP, on the full matrix;
+   greedy for HTA-GRE, directly on the column classes, with the full
+   matrix's result;
 5. *swap + decode* — per matched edge, swap the two tasks' vertices with
    probability 1/2 (lines 12-16), then read off ``T_wq`` via Eq. 7.
 
@@ -78,7 +82,7 @@ def run_qap_pipeline(
     timings["matching"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    profits = encoding.profit_matrix(matched_weight)
+    profits = encoding.profit_matrix(matched_weight, by_class=True)
     timings["profits"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -90,7 +94,9 @@ def run_qap_pipeline(
     # even a random deal.  The guarantee holds for every fixed labeling, so
     # it also holds in expectation over a uniform one.
     row_order = generator.permutation(encoding.n_vertices)
-    shuffled = solve_lsap(profits[row_order], lsap_method).row_to_col
+    shuffled = solve_lsap(
+        profits[row_order], lsap_method, class_sizes=encoding.class_sizes
+    ).row_to_col
     base_permutation = np.empty(encoding.n_vertices, dtype=np.intp)
     base_permutation[row_order] = shuffled
     timings["lsap"] = time.perf_counter() - start

@@ -184,8 +184,13 @@ class PreparedSolve:
     lease_id: int = -1
 
 
-def execute_prepared(prepared: PreparedSolve) -> dict[str, tuple[str, ...]]:
+def execute_prepared(
+    prepared: PreparedSolve,
+) -> tuple[dict[str, tuple[str, ...]], dict[str, float]]:
     """Run a prepared solve with its own derived RNG stream.
+
+    Returns each worker's assigned task ids and the solver's phase timings
+    (:attr:`~repro.core.solvers.base.SolveResult.timings`).
 
     This is the *same* computation the serving layer's process-pool engine
     performs in a worker (:func:`repro.serve.engine._solve_request`, minus
@@ -197,9 +202,10 @@ def execute_prepared(prepared: PreparedSolve) -> dict[str, tuple[str, ...]]:
     solver = get_solver(prepared.solver_name)
     rng = np.random.default_rng(prepared.seed)
     result = solver.solve(prepared.instance, rng)
-    return {
+    assigned = {
         w: tuple(result.assignment.tasks_of(w)) for w in prepared.worker_ids
     }
+    return assigned, result.timings
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ Two entry points:
   graph), the shape used throughout HTA;
 * :func:`greedy_matching_edges` — on an explicit edge list, for sparse
   graphs and for tests.
+
+Both greedy passes of HTA-GRE, this matching and the greedy LSAP of
+:mod:`repro.matching.lsap`, walk their sorted edges with
+:func:`greedy_select`.
 """
 
 from __future__ import annotations
@@ -23,12 +27,48 @@ import numpy as np
 Edge = tuple[int, int, float]
 
 
+def greedy_select(
+    heads: np.ndarray, tails: np.ndarray, capacity: np.ndarray, limit: int
+) -> list[int]:
+    """Positions of the edges a greedy pass over an ordered edge list takes.
+
+    Edge ``e`` joins vertices ``heads[e]`` and ``tails[e]``; the pass takes
+    it when both still have capacity left, then spends one unit of each.
+    It stops after ``limit`` edges, the most that can ever be taken.
+
+    The per-edge loop is Python, so the walk goes in blocks that double in
+    size: numpy first drops every edge of a block with an endpoint already
+    spent, and the loop visits only the survivors.  An edge dropped that way
+    would have been refused anyway, since capacity only shrinks, so the
+    result is the plain one-edge-at-a-time greedy's.
+    """
+    capacity = np.array(capacity, dtype=np.intp)
+    left = capacity.tolist()
+    taken: list[int] = []
+    start, block = 0, max(limit, 64)
+    while start < len(heads) and len(taken) < limit:
+        stop = start + block
+        u, v = heads[start:stop], tails[start:stop]
+        live = np.flatnonzero((capacity[u] > 0) & (capacity[v] > 0))
+        for e, a, b in zip(live.tolist(), u[live].tolist(), v[live].tolist()):
+            if left[a] and left[b]:
+                left[a] -= 1
+                left[b] -= 1
+                taken.append(start + e)
+                if len(taken) == limit:
+                    break
+        capacity = np.array(left, dtype=np.intp)
+        start, block = stop, 2 * block
+    return taken
+
+
 def greedy_matching_dense(weights: np.ndarray) -> list[tuple[int, int]]:
     """Greedy matching on the complete graph given by a symmetric matrix.
 
     Edges with non-positive weight are skipped: leaving two vertices
     unmatched is never worse than matching them at weight <= 0, and skipping
-    keeps the 1/2 bound while avoiding useless pairs.
+    keeps the 1/2 bound while avoiding useless pairs.  Ties go to the edge
+    that comes first in row-major upper-triangle order.
 
     Returns a list of ``(i, j)`` with ``i < j``, vertex-disjoint, ordered by
     decreasing weight.
@@ -45,17 +85,11 @@ def greedy_matching_dense(weights: np.ndarray) -> list[tuple[int, int]]:
         return []
     rows, cols = np.triu_indices(n, k=1)
     edge_weights = matrix[rows, cols]
-    order = np.argsort(-edge_weights, kind="stable")
-    matched = np.zeros(n, dtype=bool)
-    matching: list[tuple[int, int]] = []
-    for e in order:
-        if edge_weights[e] <= 0.0:
-            break
-        i, j = int(rows[e]), int(cols[e])
-        if not matched[i] and not matched[j]:
-            matched[i] = matched[j] = True
-            matching.append((i, j))
-    return matching
+    positive = np.flatnonzero(edge_weights > 0.0)
+    order = positive[np.argsort(-edge_weights[positive], kind="stable")]
+    rows, cols = rows[order], cols[order]
+    taken = greedy_select(rows, cols, np.ones(n, dtype=np.intp), n // 2)
+    return [(int(rows[e]), int(cols[e])) for e in taken]
 
 
 def greedy_matching_edges(edges: Iterable[Edge]) -> list[tuple[int, int]]:

@@ -16,7 +16,8 @@ Implementations are from scratch (no scipy):
 
 * :func:`hungarian` — shortest-augmenting-path Hungarian with potentials
   (the classic ``O(n^3)`` formulation), numpy-vectorized inner loop;
-* :func:`greedy_lsap` — sort all entries, take greedily (1/2-approx);
+* :func:`greedy_lsap` — sort all entries, take greedily (1/2-approx),
+  optionally over classes of identical columns;
 * :func:`auction_lsap` — Bertsekas forward auction with epsilon scaling;
 * :func:`brute_force_lsap` — exhaustive oracle for tiny instances.
 """
@@ -32,6 +33,7 @@ import numpy as np
 from ..errors import InvalidInstanceError
 from ..perf.config import resolve_kernel
 from ..perf.lsap_kernels import hungarian_min_rect, hungarian_min_rect_warm
+from .greedy import greedy_select
 
 #: Brute force explores n! permutations; 9! = 362,880 keeps tests fast.
 MAX_BRUTE_FORCE_ROWS = 9
@@ -64,13 +66,25 @@ class LSAPSolution:
         )
 
 
-def _check_profit(profit: np.ndarray) -> np.ndarray:
+def _check_profit(
+    profit: np.ndarray, class_sizes: np.ndarray | None = None
+) -> np.ndarray:
     matrix = np.asarray(profit, dtype=float)
     if matrix.ndim != 2:
         raise InvalidInstanceError(f"profit matrix must be 2-D, got {matrix.ndim}-D")
-    if matrix.shape[0] > matrix.shape[1]:
+    n_cols = matrix.shape[1]
+    if class_sizes is not None:
+        sizes = np.asarray(class_sizes)
+        if sizes.shape != (n_cols,) or (sizes < 1).any():
+            raise InvalidInstanceError(
+                f"need one positive class size per column, got {sizes!r} "
+                f"for {n_cols} columns"
+            )
+        n_cols = int(sizes.sum())
+    if matrix.shape[0] > n_cols:
         raise InvalidInstanceError(
-            f"need n_rows <= n_cols, got shape {matrix.shape}; transpose the input"
+            f"need n_rows <= n_cols, got {matrix.shape[0]} rows and {n_cols} "
+            "columns; transpose the input"
         )
     if not np.isfinite(matrix).all():
         raise InvalidInstanceError("profit matrix contains non-finite values")
@@ -161,33 +175,45 @@ def _hungarian_min_square(cost: np.ndarray) -> np.ndarray:
     return row_to_col
 
 
-def greedy_lsap(profit: np.ndarray) -> LSAPSolution:
+def greedy_lsap(
+    profit: np.ndarray, class_sizes: np.ndarray | None = None
+) -> LSAPSolution:
     """Greedy bipartite matching on the profit matrix (HTA-GRE's LSAP step).
 
-    Sorts all ``n_rows * n_cols`` entries by decreasing profit and assigns
-    each (row, column) pair whose row and column are both free.  Because the
-    bipartite graph is complete, the result is always a perfect matching on
-    the rows, and GreedyMatching's 1/2 bound applies (Lemma 4).
+    Sorts all ``n_rows * n_cols`` entries by decreasing profit (ties in
+    row-major order) and assigns each (row, column) pair whose row and
+    column are both free.  Because the bipartite graph is complete, the
+    result is always a perfect matching on the rows, and GreedyMatching's
+    1/2 bound applies (Lemma 4).  Complexity ``O(n^2 log n)``.
 
-    Complexity ``O(n^2 log n)``.
+    With ``class_sizes``, column ``j`` of ``profit`` stands for
+    ``class_sizes[j]`` identical, consecutive columns of the full matrix,
+    and the result is the full matrix's greedy, in full column indices.
+    The full greedy visits a row's equal entries of one class one after
+    another, and earlier classes first, so a row lands in a class exactly
+    when the class still has a free column, and each class hands out its
+    columns in order.  Only ``n_rows * len(class_sizes)`` entries are
+    sorted.
     """
-    matrix = _check_profit(profit)
-    n_rows, n_cols = matrix.shape
+    matrix = _check_profit(profit, class_sizes)
+    n_rows, n_classes = matrix.shape
+    sizes = (
+        np.ones(n_classes, dtype=np.intp)
+        if class_sizes is None
+        else np.asarray(class_sizes, dtype=np.intp)
+    )
     order = np.argsort(-matrix, axis=None, kind="stable")
-    rows, cols = np.unravel_index(order, matrix.shape)
-    row_free = np.ones(n_rows, dtype=bool)
-    col_free = np.ones(n_cols, dtype=bool)
-    row_to_col = np.full(n_rows, -1, dtype=np.intp)
-    assigned = 0
-    for r, c in zip(rows, cols):
-        if row_free[r] and col_free[c]:
-            row_to_col[r] = c
-            row_free[r] = False
-            col_free[c] = False
-            assigned += 1
-            if assigned == n_rows:
-                break
-    return LSAPSolution(row_to_col, _value(matrix, row_to_col))
+    rows, classes = np.divmod(order, n_classes)
+    capacity = np.concatenate([np.ones(n_rows, dtype=np.intp), sizes])
+    taken = greedy_select(rows, n_rows + classes, capacity, n_rows)
+    next_col = (np.cumsum(sizes) - sizes).tolist()
+    row_class = np.empty(n_rows, dtype=np.intp)
+    row_to_col = np.empty(n_rows, dtype=np.intp)
+    for r, q in zip(rows[taken].tolist(), classes[taken].tolist()):
+        row_class[r] = q
+        row_to_col[r] = next_col[q]
+        next_col[q] += 1
+    return LSAPSolution(row_to_col, _value(matrix, row_class))
 
 
 def auction_lsap(profit: np.ndarray, precision: float = 1e-6) -> LSAPSolution:
@@ -270,8 +296,16 @@ _SOLVERS = {
 }
 
 
-def solve_lsap(profit: np.ndarray, method: str = "hungarian") -> LSAPSolution:
+def solve_lsap(
+    profit: np.ndarray,
+    method: str = "hungarian",
+    class_sizes: np.ndarray | None = None,
+) -> LSAPSolution:
     """Dispatch to a named LSAP solver.
+
+    ``class_sizes`` marks ``profit`` as a matrix of column classes (see
+    :func:`greedy_lsap`).  The greedy works on the classes directly; the
+    other solvers get the full matrix back, one column per class member.
 
     >>> solve_lsap(np.array([[4., 1.], [2., 3.]]), "greedy").value
     7.0
@@ -283,7 +317,12 @@ def solve_lsap(profit: np.ndarray, method: str = "hungarian") -> LSAPSolution:
         raise InvalidInstanceError(
             f"unknown LSAP method {method!r}; known methods: {known}"
         ) from None
-    return solver(profit)
+    if class_sizes is None:
+        return solver(profit)
+    if solver is greedy_lsap:
+        return greedy_lsap(profit, class_sizes)
+    _check_profit(profit, class_sizes)
+    return solver(np.repeat(np.asarray(profit, dtype=float), class_sizes, axis=1))
 
 
 def lsap_methods() -> tuple[str, ...]:

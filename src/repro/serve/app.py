@@ -47,7 +47,7 @@ from ..quality import QualityConfig, QualityController
 from ..storage import SnapshotStore
 from .replay import FlightRecorder, pool_fingerprint, state_fingerprint
 from .cache import IncrementalDiversityCache
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, SolverPhaseMetrics
 from .protocol import (
     HttpError,
     Request,
@@ -272,6 +272,7 @@ class AssignmentDaemon:
         self._request_seconds = r.histogram(
             "serve_request_seconds", "End-to-end request latency in seconds"
         )
+        self._solver_phases = SolverPhaseMetrics(r)
         self._deadline_exceeded = r.counter(
             "serve_deadline_exceeded_total",
             "Requests answered from the stale display after a deadline miss",
@@ -477,13 +478,14 @@ class AssignmentDaemon:
             self._recorder.record_lease(prepared, ctx.attrs.get("trace_ids"))
         try:
             with ctx.span("solve", tier=tier):
-                assigned = execute_prepared(prepared)
+                assigned, timings = execute_prepared(prepared)
         except Exception:
             self.service.abandon_solve(prepared)
             if self._recorder is not None:
                 self._recorder.record_abandon(prepared)
             self.degradation.observe_solve_failure()
             raise
+        self._solver_phases.observe(tier, timings)
         with ctx.span("commit"):
             wall_time = self._wall_time()
             events = self.service.commit_solve(prepared, assigned, wall_time)

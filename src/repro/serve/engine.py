@@ -39,7 +39,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,7 +52,7 @@ from ..core.worker import MotivationWeights, Worker, WorkerPool
 from ..crowd.events import TasksAssigned
 from ..perf.lsap_kernels import warm_context
 from . import shm
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, SolverPhaseMetrics
 from .tracing import SolveContext, Span, SpanMetrics
 
 if TYPE_CHECKING:
@@ -174,7 +174,8 @@ class EngineOutcome:
     loop-side approximations.  ``solve_cpu_seconds`` is the same solve leg
     on the worker's process-CPU clock: on a host where solver processes
     timeshare a core, it isolates the solver's actual cost from scheduling
-    delay (the signal the pre-warm parity gate watches).
+    delay (the signal the pre-warm parity gate watches).  ``phase_seconds``
+    is the solver's own per-phase breakdown of the solve leg.
     """
 
     assigned: dict[str, tuple[str, ...]]
@@ -183,6 +184,7 @@ class EngineOutcome:
     pid: int
     unpickle_seconds: float = 0.0
     solve_cpu_seconds: float = 0.0
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def _solve_blob(blob: bytes) -> EngineOutcome:
@@ -229,7 +231,7 @@ def _solve_request(request: EngineRequest) -> EngineOutcome:
     }
     return EngineOutcome(
         assigned, float(result.objective), elapsed, os.getpid(),
-        solve_cpu_seconds=cpu_elapsed,
+        solve_cpu_seconds=cpu_elapsed, phase_seconds=result.timings,
     )
 
 
@@ -280,7 +282,7 @@ def _solve_shm_request(request: ShmSolveRequest) -> EngineOutcome:
     }
     return EngineOutcome(
         assigned, float(result.objective), elapsed, os.getpid(),
-        solve_cpu_seconds=cpu_elapsed,
+        solve_cpu_seconds=cpu_elapsed, phase_seconds=result.timings,
     )
 
 
@@ -383,6 +385,7 @@ class SolveEngine:
             "Solver process-CPU time per batch: the solve leg minus any "
             "core timesharing delay (pre-warm parity signal)",
         )
+        self._solver_phases = SolverPhaseMetrics(registry)
 
     def _new_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -537,6 +540,9 @@ class SolveEngine:
             )
             self._span_metrics.observe(solve_span)
             self._solve_cpu.observe(outcome.solve_cpu_seconds)
+            self._solver_phases.observe(
+                prepared.solver_name, outcome.phase_seconds
+            )
             assigned = outcome.assigned
             if shm_ref is not None:
                 # The worker solved against synthetic positional ids;

@@ -23,6 +23,12 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
+#: Solver phase buckets in seconds: a sub-millisecond greedy LSAP up to a
+#: seconds-long Hungarian.
+PHASE_BUCKETS: tuple[float, ...] = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+)
+
 #: Raw observations retained per histogram for quantile estimation.
 _RESERVOIR_SIZE = 8192
 
@@ -175,16 +181,26 @@ class Histogram:
         if self.help_text:
             lines.append(f"# HELP {self.name} {self.help_text}")
         lines.append(f"# TYPE {self.name} histogram")
+        lines.extend(self.sample_lines())
+        return "\n".join(lines)
+
+    def sample_lines(self, labels: str = "") -> list[str]:
+        """The bucket/sum/count series, each carrying ``labels`` (already
+        rendered, e.g. ``tier="hta-gre"``) ahead of ``le``."""
+        bucket_prefix = f"{labels}," if labels else ""
+        suffix = f"{{{labels}}}" if labels else ""
+        lines = []
         cumulative = 0
         for edge, count in zip(self.buckets, self._bucket_counts):
             cumulative += count
             lines.append(
-                f'{self.name}_bucket{{le="{_format_value(edge)}"}} {cumulative}'
+                f'{self.name}_bucket{{{bucket_prefix}le="{_format_value(edge)}"}}'
+                f" {cumulative}"
             )
-        lines.append(f'{self.name}_bucket{{le="+Inf"}} {self._count}')
-        lines.append(f"{self.name}_sum {_format_value(self._sum)}")
-        lines.append(f"{self.name}_count {self._count}")
-        return "\n".join(lines)
+        lines.append(f'{self.name}_bucket{{{bucket_prefix}le="+Inf"}} {self._count}')
+        lines.append(f"{self.name}_sum{suffix} {_format_value(self._sum)}")
+        lines.append(f"{self.name}_count{suffix} {self._count}")
+        return lines
 
 
 def _escape_label_value(value: str) -> str:
@@ -198,15 +214,12 @@ def _escape_label_value(value: str) -> str:
     )
 
 
-class LabeledCounter:
-    """A counter family: one time series per distinct label-value tuple.
+class _LabeledFamily:
+    """One time series per distinct label-value tuple, all rendered under a
+    single ``# TYPE`` header.  Children are created lazily on first
+    :meth:`labels` call."""
 
-    Children are created lazily on first :meth:`labels` call and rendered
-    together under a single ``# TYPE`` header, e.g.::
-
-        quality_adjudications_total{outcome="resolved"} 12
-        quality_adjudications_total{outcome="tie"} 1
-    """
+    kind = ""
 
     def __init__(
         self, name: str, help_text: str, label_names: Sequence[str]
@@ -214,13 +227,19 @@ class LabeledCounter:
         self.name = _validate_name(name)
         self.help_text = help_text
         if not label_names:
-            raise ValueError("a labeled counter needs at least one label")
+            raise ValueError(f"a labeled {self.kind} needs at least one label")
         self.label_names = tuple(_validate_name(n) for n in label_names)
-        self._children: dict[tuple[str, ...], Counter] = {}
+        self._children: dict[tuple[str, ...], object] = {}
         self._lock = threading.Lock()
 
-    def labels(self, **label_values: str) -> Counter:
-        """The child counter for this label-value combination."""
+    def _new_child(self):
+        raise NotImplementedError
+
+    def _child_lines(self, labels: str, child) -> list[str]:
+        raise NotImplementedError
+
+    def labels(self, **label_values: str):
+        """The child metric for this label-value combination."""
         if set(label_values) != set(self.label_names):
             raise ValueError(
                 f"{self.name} takes labels {self.label_names}, "
@@ -230,9 +249,38 @@ class LabeledCounter:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = Counter(self.name)
+                child = self._new_child()
                 self._children[key] = child
             return child
+
+    def render(self) -> str:
+        lines = []
+        if self.help_text:
+            lines.append(f"# HELP {self.name} {self.help_text}")
+        lines.append(f"# TYPE {self.name} {self.kind}")
+        for key in sorted(self._children):
+            labels = ",".join(
+                f'{name}="{_escape_label_value(value)}"'
+                for name, value in zip(self.label_names, key)
+            )
+            lines.extend(self._child_lines(labels, self._children[key]))
+        return "\n".join(lines)
+
+
+class LabeledCounter(_LabeledFamily):
+    """A counter family, e.g.::
+
+        quality_adjudications_total{outcome="resolved"} 12
+        quality_adjudications_total{outcome="tie"} 1
+    """
+
+    kind = "counter"
+
+    def _new_child(self) -> Counter:
+        return Counter(self.name)
+
+    def _child_lines(self, labels: str, child: Counter) -> list[str]:
+        return [f"{self.name}{{{labels}}} {_format_value(child.value)}"]
 
     def value(self, **label_values: str) -> float:
         """Current value of one child (0 if never incremented)."""
@@ -244,21 +292,51 @@ class LabeledCounter:
         """All children's values keyed by their label-value tuples."""
         return {key: c.value for key, c in self._children.items()}
 
-    def render(self) -> str:
-        lines = []
-        if self.help_text:
-            lines.append(f"# HELP {self.name} {self.help_text}")
-        lines.append(f"# TYPE {self.name} counter")
-        for key in sorted(self._children):
-            child = self._children[key]
-            labels = ",".join(
-                f'{name}="{_escape_label_value(value)}"'
-                for name, value in zip(self.label_names, key)
-            )
-            lines.append(
-                f"{self.name}{{{labels}}} {_format_value(child.value)}"
-            )
-        return "\n".join(lines)
+
+class LabeledHistogram(_LabeledFamily):
+    """A histogram family sharing one bucket layout, e.g. solver phase
+    seconds by tier and phase."""
+
+    kind = "histogram"
+
+    def __init__(
+        self,
+        name: str,
+        help_text: str,
+        label_names: Sequence[str],
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
+    ):
+        super().__init__(name, help_text, label_names)
+        self.buckets = tuple(buckets)
+
+    def _new_child(self) -> Histogram:
+        return Histogram(self.name, buckets=self.buckets)
+
+    def _child_lines(self, labels: str, child: Histogram) -> list[str]:
+        return child.sample_lines(labels)
+
+    def summaries(self) -> dict[tuple[str, ...], dict[str, float]]:
+        """Every child's :meth:`Histogram.summary` keyed by label values."""
+        return {key: c.summary() for key, c in self._children.items()}
+
+
+class SolverPhaseMetrics:
+    """``serve_solver_phase_seconds{tier,phase}``: every timing a solver
+    reports in :attr:`~repro.core.solvers.base.SolveResult.timings`
+    (encode / matching / profits / lsap / decode for HTA-APP and HTA-GRE,
+    plus ``total``), per degradation tier."""
+
+    def __init__(self, registry: "MetricsRegistry"):
+        self._family = registry.labeled_histogram(
+            "serve_solver_phase_seconds",
+            "Wall seconds per solver phase, by tier",
+            label_names=("tier", "phase"),
+            buckets=PHASE_BUCKETS,
+        )
+
+    def observe(self, tier: str, timings: dict[str, float]) -> None:
+        for phase, seconds in timings.items():
+            self._family.labels(tier=tier, phase=phase).observe(seconds)
 
 
 def _format_value(value: float) -> str:
@@ -278,7 +356,7 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: dict[
-            str, Counter | Gauge | Histogram | LabeledCounter
+            str, Counter | Gauge | Histogram | _LabeledFamily
         ] = {}
         self._lock = threading.Lock()
 
@@ -290,18 +368,37 @@ class MetricsRegistry:
         self, name: str, help_text: str = "", label_names: Sequence[str] = ()
     ) -> LabeledCounter:
         """Get or create the counter family ``name`` over ``label_names``."""
+        return self._get_or_create_family(
+            LabeledCounter, name, help_text, label_names
+        )
+
+    def labeled_histogram(
+        self,
+        name: str,
+        help_text: str = "",
+        label_names: Sequence[str] = (),
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
+    ) -> LabeledHistogram:
+        """Get or create the histogram family ``name`` over ``label_names``."""
+        return self._get_or_create_family(
+            LabeledHistogram, name, help_text, label_names, buckets=buckets
+        )
+
+    def _get_or_create_family(
+        self, cls, name: str, help_text: str, label_names: Sequence[str], **kwargs
+    ):
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
-                if not isinstance(existing, LabeledCounter):
-                    raise ValueError(f"metric {name!r} is not a labeled counter")
+                if not isinstance(existing, cls):
+                    raise ValueError(f"metric {name!r} is not a {cls.__name__}")
                 if label_names and tuple(label_names) != existing.label_names:
                     raise ValueError(
                         f"metric {name!r} is labeled by {existing.label_names}, "
                         f"not {tuple(label_names)}"
                     )
                 return existing
-            metric = LabeledCounter(name, help_text, label_names)
+            metric = cls(name, help_text, label_names, **kwargs)
             self._metrics[name] = metric
             return metric
 
@@ -337,7 +434,7 @@ class MetricsRegistry:
             self._metrics[name] = metric
             return metric
 
-    def get(self, name: str) -> "Counter | Gauge | Histogram | LabeledCounter":
+    def get(self, name: str) -> "Counter | Gauge | Histogram | _LabeledFamily":
         return self._metrics[name]
 
     def names(self) -> Iterable[str]:
@@ -359,6 +456,11 @@ class MetricsRegistry:
                 out[name] = {
                     ",".join(key): value
                     for key, value in metric.values().items()
+                }
+            elif isinstance(metric, LabeledHistogram):
+                out[name] = {
+                    ",".join(key): summary
+                    for key, summary in metric.summaries().items()
                 }
             else:
                 out[name] = metric.summary()

@@ -565,7 +565,8 @@ def _run_prepared(
     if variant.shm_shipping:
         return _run_prepared_shm(prepared)
     if not variant.engine_semantics:
-        return execute_prepared(prepared)
+        assigned, _ = execute_prepared(prepared)
+        return assigned
     # The engine's exact worker path: slim the instance (the worker
     # recomputes diversity from the keyword matrix), pickle, solve the
     # unpickled copy.  Run here in-process; determinism must not care.

@@ -126,6 +126,27 @@ class TestEndpoints:
         assert daemon.registry.get("serve_solves_total").value >= 1
         assert daemon.registry.get("serve_disjointness_violations_total").value == 0
 
+    def test_solver_phases_in_metrics(self):
+        async def check(daemon, client):
+            status, body = await client.request(
+                "POST", "/workers", {"worker_id": "bob", "keywords": ["k0"]}
+            )
+            for task_id in body["display"]["pending"][:3]:  # reassign_after=3
+                await client.request(
+                    "POST", "/complete", {"worker_id": "bob", "task_id": task_id}
+                )
+            status, text = await client.request("GET", "/metrics")
+            return daemon, text
+
+        daemon, text = with_daemon(check)
+        solves = daemon.registry.get("serve_solves_total").value
+        assert solves >= 1
+        for phase in ("encode", "matching", "profits", "lsap", "decode", "total"):
+            assert (
+                f'serve_solver_phase_seconds_count{{tier="hta-gre",phase="{phase}"}}'
+                f" {int(solves)}" in text
+            )
+
     def test_error_paths(self):
         async def check(daemon, client):
             results = {}

@@ -182,6 +182,24 @@ class TestSolveEngine:
         assert snapshot["serve_engine_queue_depth"] == 0
         assert snapshot["serve_engine_in_flight"] == 0
 
+    def test_worker_phase_timings_published(self, pool):
+        async def scenario():
+            service = make_service(pool, candidate_cap=30)
+            registry = MetricsRegistry()
+            engine = SolveEngine(service, registry, n_workers=1)
+            try:
+                await engine.solve_batch(["w0", "w1"], wall_time=1.0)
+            finally:
+                await engine.close()
+            return registry
+
+        summaries = asyncio.run(scenario()).get(
+            "serve_solver_phase_seconds"
+        ).summaries()
+        phases = {"encode", "matching", "profits", "lsap", "decode", "total"}
+        assert set(summaries) == {("hta-gre", phase) for phase in phases}
+        assert all(s["count"] == 1 for s in summaries.values())
+
     def test_unknown_solver_releases_lease(self, pool):
         async def scenario():
             service = make_service(pool, candidate_cap=30)

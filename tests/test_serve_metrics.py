@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.serve.metrics import Counter, Histogram, MetricsRegistry
+from repro.serve.metrics import (
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    SolverPhaseMetrics,
+)
 
 
 class TestCounter:
@@ -228,3 +233,37 @@ class TestLabeledCounter:
         registry.labeled_counter("x_total", label_names=["a"])
         with pytest.raises(ValueError):
             registry.labeled_counter("x_total", label_names=["b"])
+
+
+class TestLabeledHistogram:
+    def test_one_histogram_per_label_tuple(self):
+        registry = MetricsRegistry()
+        family = registry.labeled_histogram(
+            "phase_seconds", "Phase time", label_names=["tier", "phase"],
+            buckets=(0.01, 0.1),
+        )
+        family.labels(tier="a", phase="lsap").observe(0.005)
+        family.labels(tier="a", phase="lsap").observe(0.05)
+        family.labels(tier="b", phase="total").observe(1.0)
+        text = registry.render()
+        assert text.count("# TYPE phase_seconds histogram") == 1
+        assert 'phase_seconds_bucket{tier="a",phase="lsap",le="0.01"} 1' in text
+        assert 'phase_seconds_bucket{tier="a",phase="lsap",le="+Inf"} 2' in text
+        assert 'phase_seconds_count{tier="b",phase="total"} 1' in text
+        assert registry.snapshot()["phase_seconds"]["a,lsap"]["count"] == 2
+
+    def test_kind_mismatch_rejected(self):
+        registry = MetricsRegistry()
+        registry.labeled_counter("x_total", label_names=["a"])
+        with pytest.raises(ValueError, match="not a LabeledHistogram"):
+            registry.labeled_histogram("x_total", label_names=["a"])
+
+    def test_solver_phase_metrics(self):
+        registry = MetricsRegistry()
+        phases = SolverPhaseMetrics(registry)
+        phases.observe("hta-gre", {"matching": 0.01, "lsap": 0.001, "total": 0.012})
+        summaries = registry.get("serve_solver_phase_seconds").summaries()
+        assert set(summaries) == {
+            ("hta-gre", "matching"), ("hta-gre", "lsap"), ("hta-gre", "total")
+        }
+        assert summaries[("hta-gre", "lsap")]["sum"] == 0.001
