@@ -1,28 +1,19 @@
-"""Open-world ingestion — block-append cache cost and burst-arrival latency.
+"""Open-world ingestion — burst-arrival latency on the serving path.
 
-Two questions the ``POST /tasks`` path has to answer before it is safe to
-leave on in production:
+Do arrival bursts stall the serving path?  Two self-contained loadgen runs,
+identical except one drives correlated-similarity burst arrivals through
+``POST /tasks`` while workers complete.  The committed ratio is burst p95 /
+quiet p95 of worker-request latency; the ceiling is generous (a burst costs
+one validation pass and one keyword-row index update, which should be
+invisible next to a solve) and trips only when ingestion starts blocking
+the event loop.
 
-* **Does block append actually beat a rebuild?**  The diversity cache grows
-  by writing one ``(new, used)`` cross-Jaccard block and one ``(new, new)``
-  self block into an over-allocated buffer — ``O(n b R)`` work for a batch
-  of ``b`` against ``n`` cached rows, versus the ``O(n^2 R)`` from-scratch
-  rebuild.  The bench times both on the same corpus and batch and commits
-  the speedup ratio; the gate is a generous floor well under the asymptotic
-  gap, so only a real algorithmic regression (e.g. append quietly falling
-  back to rebuild) trips it.  Bit-identity against the rebuild oracle is
-  asserted in the same run — a fast wrong cache must never pass.
-* **Do arrival bursts stall the serving path?**  Two self-contained loadgen
-  runs, identical except one drives correlated-similarity burst arrivals
-  through ``POST /tasks`` while workers complete.  The committed ratio is
-  burst p95 / quiet p95 of worker-request latency; the ceiling is generous
-  (bursts cost one block append each, which should be invisible next to a
-  solve) and trips only when ingestion starts blocking the event loop.
-
-Both gates are ratios of timings taken in the same process on the same
+The gate is a ratio of timings taken in the same process on the same
 machine, so the committed baseline is machine-portable.  Standalone:
 ``python benchmarks/bench_ingestion.py`` rewrites the baseline;
-``--check BASELINE.json`` re-runs and fails on regression.
+``--check BASELINE.json`` re-runs and fails on regression.  Startup time
+and memory against corpus size are gated by
+``benchmarks/bench_startup_envelope.py``.
 """
 
 from __future__ import annotations
@@ -32,23 +23,12 @@ import asyncio
 import json
 import pathlib
 import sys
-import time
 
-import numpy as np
-
-from repro.core.distance import pairwise_jaccard
-from repro.core.task import Task
-from repro.data import CrowdFlowerConfig, generate_crowdflower_corpus
-from repro.serve.cache import IncrementalDiversityCache
 from repro.serve.loadgen import LoadgenConfig, run_self_contained
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_ingestion.json"
 
 SEED = 20180416  # ICDE'18
-N_BASE = 1500  # cached rows before the appends
-APPEND_BATCH = 25  # arrivals per append
-N_APPENDS = 4  # appended batches per trial
-N_TRIALS = 5  # best-of trials for both timings
 
 # Serving comparison: identical closed-loop runs, one with burst arrivals.
 SERVE_TASKS = 400
@@ -57,71 +37,9 @@ SERVE_COMPLETIONS = 8
 ARRIVAL_TASKS = 48
 ARRIVAL_BATCH = 8
 
-#: Gates.  The asymptotic append-vs-rebuild gap at these sizes is ~n/b ≈ 60x;
-#: a floor of 3x only trips when append degenerates to rebuild-like work.
-MIN_APPEND_SPEEDUP = 3.0
 #: Burst p95 may wobble on a loaded CI box; 8x headroom means the gate fires
 #: only when ingestion genuinely stalls the worker-facing path.
 MAX_BURST_P95_RATIO = 8.0
-#: ``--check`` also compares the measured speedup against the committed one
-#: with this fraction of slack (timings, so the slack is wide).
-SPEEDUP_DRIFT_FLOOR = 0.25
-
-
-def _arrival_tasks(n_keywords: int, rng: np.random.Generator) -> list[Task]:
-    """APPEND_BATCH correlated arrivals (shared base, one flip each)."""
-    base = np.zeros(n_keywords, dtype=bool)
-    base[rng.choice(n_keywords, size=min(6, n_keywords), replace=False)] = True
-    tasks = []
-    for i in range(APPEND_BATCH):
-        vector = base.copy()
-        vector[int(rng.integers(n_keywords))] ^= True
-        tasks.append(Task(task_id=f"bench-arr-{rng.integers(1 << 62)}-{i}",
-                          vector=vector))
-    return tasks
-
-
-def _measure_append_vs_rebuild() -> dict:
-    corpus = generate_crowdflower_corpus(
-        CrowdFlowerConfig(n_tasks=N_BASE), rng=SEED
-    )
-    pool = corpus.pool
-    rng = np.random.default_rng(SEED)
-    batches = [_arrival_tasks(pool.matrix.shape[1], rng) for _ in range(N_APPENDS)]
-
-    best_append = best_rebuild = float("inf")
-    for _ in range(N_TRIALS):
-        cache = IncrementalDiversityCache(pool)
-        keywords = np.asarray(pool.matrix, dtype=bool)
-        append_elapsed = rebuild_elapsed = 0.0
-        for batch in batches:
-            started = time.perf_counter()
-            cache.on_added(batch)
-            append_elapsed += time.perf_counter() - started
-
-            grown = np.vstack([keywords, [t.vector for t in batch]])
-            started = time.perf_counter()
-            oracle = pairwise_jaccard(grown)
-            rebuild_elapsed += time.perf_counter() - started
-            keywords = grown
-        best_append = min(best_append, append_elapsed)
-        best_rebuild = min(best_rebuild, rebuild_elapsed)
-
-    # Bit-identity against the rebuild oracle, on the final grown pool.
-    ids = [t.task_id for t in pool] + [
-        t.task_id for batch in batches for t in batch
-    ]
-    cached = cache.submatrix(ids)
-    bit_identical = cached is not None and np.array_equal(cached, oracle)
-    return {
-        "cached_rows": N_BASE,
-        "append_batch": APPEND_BATCH,
-        "append_batches": N_APPENDS,
-        "append_seconds": round(best_append, 6),
-        "rebuild_seconds": round(best_rebuild, 6),
-        "append_speedup": round(best_rebuild / max(best_append, 1e-9), 2),
-        "bit_identical_to_rebuild": bool(bit_identical),
-    }
 
 
 def _serving_config(burst: bool) -> LoadgenConfig:
@@ -160,23 +78,12 @@ def measure() -> dict:
     return {
         "benchmark": "ingestion",
         "seed": SEED,
-        "append": _measure_append_vs_rebuild(),
         "serving": _measure_burst_latency(),
     }
 
 
 def gate_failures(record: dict) -> list[str]:
     failures = []
-    append = record["append"]
-    if not append["bit_identical_to_rebuild"]:
-        failures.append(
-            "block-appended cache is not bit-identical to the rebuild oracle"
-        )
-    if append["append_speedup"] < MIN_APPEND_SPEEDUP:
-        failures.append(
-            f"append speedup {append['append_speedup']}x "
-            f"< required {MIN_APPEND_SPEEDUP}x"
-        )
     serving = record["serving"]
     if not serving["quiet_clean"] or not serving["burst_clean"]:
         failures.append("a serving comparison run was not clean")
@@ -193,22 +100,9 @@ def gate_failures(record: dict) -> list[str]:
     return failures
 
 
-def check_against_baseline(record: dict, baseline: dict) -> list[str]:
-    failures = gate_failures(record)
-    current = record["append"]["append_speedup"]
-    reference = baseline["append"]["append_speedup"]
-    floor = reference * SPEEDUP_DRIFT_FLOOR
-    if current < floor:
-        failures.append(
-            f"append speedup {current}x fell below {floor:.1f}x "
-            f"(baseline {reference}x, floor {SPEEDUP_DRIFT_FLOOR:.0%})"
-        )
-    return failures
-
-
 def test_ingestion_gates(report):
     record = measure()
-    report("ingestion: append vs rebuild, burst arrivals:\n"
+    report("ingestion: burst arrivals:\n"
            + json.dumps(record, indent=2))
     assert not gate_failures(record)
 
@@ -218,9 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         metavar="BASELINE.json",
-        help="compare against a committed baseline instead of writing a new "
-        "one; exits 1 when an acceptance gate fails or the append speedup "
-        "collapses",
+        help="re-run against a committed baseline instead of writing a new "
+        "one; exits 1 when an acceptance gate fails",
     )
     args = parser.parse_args(argv)
 
@@ -228,7 +121,11 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(record, indent=2))
     if args.check:
         baseline = json.loads(pathlib.Path(args.check).read_text())
-        failures = check_against_baseline(record, baseline)
+        print(
+            f"burst p95 ratio {record['serving']['burst_p95_ratio']} "
+            f"(baseline {baseline['serving']['burst_p95_ratio']})"
+        )
+        failures = gate_failures(record)
         for line in failures:
             print(f"REGRESSION {line}", file=sys.stderr)
         print("ingestion check:", "FAIL" if failures else "OK")

@@ -81,11 +81,9 @@ class HTAInstance:
     ) -> "HTAInstance":
         """Seed the cached matrices with externally precomputed values.
 
-        The serving layer maintains an incremental pairwise-diversity cache
-        across assignment iterations (tasks only ever leave the pool), so a
-        per-solve instance can reuse a carved submatrix instead of paying the
-        from-scratch ``O(n^2 R)`` recomputation.  Shapes are validated; values
-        are trusted.  Returns ``self`` for chaining.
+        The serving layer computes each solve's pairwise-diversity block
+        from its packed keyword-row index and hands it in here.  Shapes are
+        validated; values are trusted.  Returns ``self`` for chaining.
         """
         if diversity is not None:
             diversity = np.asarray(diversity, dtype=np.float64)

@@ -53,7 +53,7 @@ class TaskPoolState:
     within one campaign the live pool shrinks — this class owns that set:
     random draws, solver shortlisting, and removal, notifying registered
     removal listeners whenever tasks leave (the hook the serving layer's
-    incremental diversity cache uses to stay in sync without recomputing).
+    diversity index uses to stay in sync).
     The pool is nonetheless open-world: requesters post new tasks while
     workers are mid-campaign, so :meth:`add` grows the remaining set and
     notifies arrival listeners symmetrically.

@@ -1,13 +1,14 @@
 """Bit-packed boolean-matrix kernels.
 
-The pairwise-Jaccard matrix is the serving path's startup and per-solve hot
-loop: ``|u & v|`` for every row pair.  The dense path computes it as an
-int64 matmul over the ``(n, R)`` boolean matrix — ``O(n m R)`` multiply-adds
-that numpy cannot hand to BLAS (integer dtypes take the naive loop).  This
-module packs each boolean row into ``ceil(R / 64)`` ``uint64`` words and
-computes the same intersection counts as vectorized popcounts over bitwise
-ANDs — 64 keyword positions per word op, with ``np.bitwise_count`` where
-numpy provides it (>= 2.0) and an 8-bit lookup table otherwise.
+The pairwise-Jaccard block is the serving path's per-solve hot loop:
+``|u & v|`` for every row pair of a solve's candidates.  The dense path
+computes it as an int64 matmul over the ``(n, R)`` boolean matrix —
+``O(n m R)`` multiply-adds that numpy cannot hand to BLAS (integer dtypes
+take the naive loop).  This module packs each boolean row into
+``ceil(R / 64)`` ``uint64`` words and computes the same intersection counts
+as one 2-D AND and popcount per word — 64 keyword positions per word op,
+with ``np.bitwise_count`` where numpy provides it (>= 2.0) and an 8-bit
+lookup table otherwise.
 
 Counts are exact integers either way, so the Jaccard distances derived from
 them are *bit-identical* to the dense path (the differential suite in
@@ -17,9 +18,6 @@ them are *bit-identical* to the dense path (the differential suite in
 from __future__ import annotations
 
 import numpy as np
-
-#: Rows per block when materialising the (block, m, words) AND intermediate.
-_BLOCK_ROWS = 256
 
 #: Popcount of every byte value; fallback when np.bitwise_count is missing.
 _POPCOUNT8 = np.array(
@@ -92,37 +90,37 @@ def unpack_rows(packed: np.ndarray, n_bits: int) -> np.ndarray:
 def packed_intersections(
     left: np.ndarray,
     right: np.ndarray,
-    out: np.ndarray | None = None,
+    max_count: int | None = None,
 ) -> np.ndarray:
-    """``|u & v|`` for every (left row, right row) pair, as int64.
+    """``|u & v|`` for every (left row, right row) pair.
 
     ``left``/``right`` are packed matrices from :func:`pack_rows` with the
-    same word count.  Blockwise over left rows so the 3-D AND intermediate
-    stays small.
+    same word count.  Each word costs one ``(n, m)`` AND and popcount,
+    summed into the narrowest unsigned dtype that holds ``max_count`` (an
+    upper bound on any count; default: every bit of the words): ``uint8``
+    while it is at most 255, which covers keyword rows of up to 255 set
+    bits, then ``uint16``, then ``int64``.
     """
     if left.shape[1] != right.shape[1]:
         raise ValueError(
             f"word-count mismatch: {left.shape[1]} vs {right.shape[1]}"
         )
-    n, m = left.shape[0], right.shape[0]
-    if out is None:
-        out = np.empty((n, m), dtype=np.int64)
-    if left.shape[1] == 0:
-        out[:] = 0
-        return out
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        anded = left[start:stop, None, :] & right[None, :, :]
-        out[start:stop] = popcount(anded).sum(axis=-1, dtype=np.int64)
+    n_words = left.shape[1]
+    bound = 64 * n_words if max_count is None else max_count
+    if bound <= np.iinfo(np.uint8).max:
+        dtype = np.uint8
+    elif bound <= np.iinfo(np.uint16).max:
+        dtype = np.uint16
+    else:
+        dtype = np.int64
+    out = np.zeros((left.shape[0], right.shape[0]), dtype=dtype)
+    for word in range(n_words):
+        out += popcount(left[:, word, None] & right[None, :, word])
     return out
 
 
 class PackedMatrix:
-    """A boolean matrix with its packed words and row popcounts.
-
-    Carried by callers that compute many intersection products against the
-    same operand (the diversity cache packs its pool matrix once).
-    """
+    """A boolean matrix with its packed words and row popcounts."""
 
     __slots__ = ("n_rows", "n_bits", "words", "counts")
 

@@ -4,8 +4,8 @@ The paper's deployment runs assignment "in the background while workers
 complete tasks"; this package is that service boundary as a first-class
 subsystem — a dependency-free asyncio JSON-over-HTTP daemon
 (:mod:`repro.serve.app`) whose solves are micro-batched
-(:mod:`repro.serve.scheduler`), whose pairwise-diversity matrices come from
-an incremental cache (:mod:`repro.serve.cache`), and whose behaviour is
+(:mod:`repro.serve.scheduler`), whose pairwise-diversity blocks come from
+a packed keyword-row index (:mod:`repro.serve.cache`), and whose behaviour is
 observable via Prometheus metrics (:mod:`repro.serve.metrics`) and
 request-scoped stage traces (:mod:`repro.serve.tracing`).  Failure
 behaviour — deadlines, graceful degradation down the paper's own solver

@@ -6,7 +6,7 @@ Exposes the paper's Fig. 4 workflow as a JSON-over-HTTP API on top of
 * ``POST /workers`` — worker arrival: register keywords, get a first display;
 * ``POST /tasks`` — task arrival: a requester posts a batch of new tasks
   into the live pool (open-world ingestion; the batch is validated and
-  admitted atomically, flows into the diversity cache by block append, and
+  admitted atomically, is indexed by the diversity cache, and
   is journaled as a ``task_arrival`` event);
 * ``POST /complete`` — task completion: record marginal-gain observations;
   when the completion makes the worker due for reassignment, the request
@@ -18,8 +18,9 @@ Exposes the paper's Fig. 4 workflow as a JSON-over-HTTP API on top of
 * ``GET /vocabulary`` — the keyword space clients register against.
 
 Solves are micro-batched by :class:`repro.serve.scheduler.SolveScheduler`
-and read their pairwise-diversity blocks from the
-:class:`repro.serve.cache.IncrementalDiversityCache`.  The daemon also
+and get their pairwise-diversity blocks from the
+:class:`repro.serve.cache.IncrementalDiversityCache`, which computes each
+block on demand from packed keyword rows.  The daemon also
 enforces the paper's assignment constraints at the boundary: every display
 is checked for within-display uniqueness (C1) and against the set of every
 task ever displayed (C2 — "once assigned, a task is dropped from subsequent
@@ -630,8 +631,8 @@ class AssignmentDaemon:
 
         Restores the service (pool, workers, displays, estimator, RNG) and
         the daemon's C2 ledger, then re-syncs the diversity cache against the
-        restored pool — tasks displayed by the previous process must be dead
-        rows here too, or the cache would serve stale candidates.
+        restored pool — tasks displayed by the previous process must be
+        forgotten here too, or the cache would serve stale candidates.
         """
         if self._snapshots is None:
             return False
@@ -647,8 +648,8 @@ class AssignmentDaemon:
         self.service.restore_state(state["service"], self._task_index)
         # Tasks admitted by the previous process never existed in the
         # startup corpus; the snapshot's arrival log rebuilt them — index
-        # them and append their cache rows before the removal sync below
-        # marks whichever of them were already displayed as dead.
+        # them and their cache rows before the removal sync below forgets
+        # whichever of them were already displayed.
         admitted = self.service.admitted_tasks()
         for task in admitted:
             self._task_index[task.task_id] = task
@@ -811,10 +812,8 @@ class AssignmentDaemon:
             "queued_solves": self.scheduler.pending if self.scheduler else 0,
             "cache": {
                 "live_tasks": len(self.cache),
-                "backing_rows": self.cache.backing_rows,
                 "allocated_rows": self.cache.allocated_rows,
                 "carves": self.cache.carves,
-                "compactions": self.cache.compactions,
                 "appends": self.cache.appends,
             },
             "admitted_tasks": len(self.service.admitted_tasks()),
@@ -931,7 +930,7 @@ class AssignmentDaemon:
         collision (409 — against the corpus, a previously displayed task,
         an earlier arrival, or a quality alias) rejects the whole batch
         with no state mutated.  On success the tasks join the live pool in
-        batch order, the diversity cache grows by block append (it
+        batch order, the diversity cache indexes their keyword rows (it
         subscribes to the pool's arrival events), the quality layer indexes
         them for future ballots, and the arrival is journaled so replay
         can rebuild tasks the startup corpus never contained.

@@ -503,7 +503,7 @@ class _ArrivalDriver:
     namespace, so a collision rejection always indicates a real bug rather
     than an unlucky id draw.  Burst batches share a base keyword set with
     one keyword swapped per member, producing the correlated-similarity
-    arrivals that stress the diversity cache's block-append path hardest.
+    arrivals that stress the diversity term hardest.
     """
 
     def __init__(

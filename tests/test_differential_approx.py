@@ -7,9 +7,10 @@ on exhaustive small instances (the :class:`ExactSolver` caps enumeration at
 * HTA-APP is a 1/4-approximation of the MAXQAP optimum (Theorem 2);
 * HTA-GRE is a 1/8-approximation (Theorem 3);
 * no heuristic on the ladder ever exceeds the optimum (sanity direction);
-* :class:`IncrementalDiversityCache` carves are *bit-identical* to a fresh
-  ``pairwise_jaccard`` computation under arbitrary removal sequences — the
-  property that makes snapshot/restore reproduce displays exactly.
+* :class:`IncrementalDiversityCache` blocks are *bit-identical* to the
+  dense ``pairwise_jaccard`` kernel under arbitrary removal and arrival
+  sequences — the property that makes in-loop, engine and replayed solves
+  see the same diversity.
 
 The approximation guarantees are stated for the QAP-encoded objective
 (relevance scaled by ``x_max - 1`` regardless of set size), so ratios are
@@ -137,14 +138,16 @@ def _make_pool(n_tasks: int, seed: int) -> TaskPool:
 class TestCacheBitIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_carves_bit_identical_under_random_removals(self, seed):
-        """Cache submatrices must equal fresh pairwise_jaccard *bit for bit*
-        (``np.array_equal``, no tolerance) no matter the removal order or how
-        many compactions have happened in between."""
+        """Cache blocks must equal the dense kernel *bit for bit*
+        (``np.array_equal``, no tolerance) however removals and arrivals
+        interleave, and must decline any block naming a forgotten id."""
         pool = _make_pool(60, seed)
         cache = IncrementalDiversityCache(pool)
         rng = np.random.default_rng(seed)
-        alive = [task.task_id for task in pool]
-        position = {task.task_id: i for i, task in enumerate(pool)}
+        vectors = {task.task_id: task.vector for task in pool}
+        alive = list(vectors)
+        forgotten: list[str] = []
+        arrivals = 0
         while len(alive) > 4:
             # Remove a random chunk, as completed displays would.
             k = int(rng.integers(1, 6))
@@ -152,19 +155,32 @@ class TestCacheBitIdentity:
                 alive.pop(int(rng.integers(len(alive)))) for _ in range(min(k, len(alive) - 2))
             ]
             cache.on_removed(removed)
+            forgotten.extend(removed)
+            if rng.random() < 0.3:
+                # A requester posts a small batch, as POST /tasks would.
+                batch = [
+                    Task(f"arr{arrivals + j}", rng.random(16) < 0.35)
+                    for j in range(int(rng.integers(1, 4)))
+                ]
+                arrivals += len(batch)
+                cache.on_added(batch)
+                for task in batch:
+                    vectors[task.task_id] = task.vector
+                    alive.append(task.task_id)
             # Carve a random subset of survivors and compare against a fresh
-            # end-to-end computation from the keyword matrix.
+            # end-to-end computation from the keyword vectors.
             subset_size = int(rng.integers(2, min(12, len(alive)) + 1))
             subset = list(rng.choice(alive, size=subset_size, replace=False))
             carved = cache.submatrix(subset)
             assert carved is not None
-            rows = np.array([position[tid] for tid in subset], dtype=np.intp)
-            fresh = pairwise_jaccard(pool.matrix[rows])
-            assert np.array_equal(carved, fresh), (
-                "cache carve diverged from fresh pairwise_jaccard "
-                f"(seed={seed}, compactions={cache.compactions})"
+            fresh = pairwise_jaccard(
+                np.vstack([vectors[tid] for tid in subset]), kernel="dense"
             )
-        assert cache.compactions >= 1  # the loop must have exercised compaction
+            assert np.array_equal(carved, fresh), (
+                f"cache block diverged from the dense kernel (seed={seed})"
+            )
+            assert cache.submatrix(subset + forgotten[-1:]) is None
+        assert len(cache) == len(alive)
 
     def test_unknown_id_returns_none_not_garbage(self):
         pool = _make_pool(10, 0)

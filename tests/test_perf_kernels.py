@@ -9,8 +9,10 @@ inputs and the optimal value everywhere.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.distance import pairwise_jaccard
+from repro.perf import bitpack
 from repro.matching.lsap import brute_force_lsap, hungarian
 from repro.perf import config as perf_config
 from repro.perf.bitpack import PackedMatrix, pack_rows, packed_intersections, popcount
@@ -127,6 +129,77 @@ class TestJaccardDifferential:
         dense = pairwise_jaccard(matrix, kernel="dense")
         assert (packed == dense).all()
         assert (np.diag(packed) == 0.0).all()
+
+
+#: Row counts and keyword widths for the packed-vs-dense oracle: empty and
+#: serving-sized blocks, widths across the uint64 word boundaries and the
+#: uint8 accumulator's 255 limit.
+ORACLE_ROWS = (0, 1, 2, 400)
+ORACLE_WIDTHS = (0, 1, 63, 64, 65, 97, 255, 256, 300)
+
+
+def _oracle_rows(rng, n, width, density, shape):
+    rows = rng.random((n, width)) < density
+    if shape == "identical" and n:
+        rows[:] = rows[0]
+    elif shape == "some-empty":
+        rows[::3] = False
+    return rows
+
+
+class TestPackedOracle:
+    """The packed kernel against the dense one: exact ``==`` on every shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.sampled_from(ORACLE_ROWS),
+        m=st.sampled_from(ORACLE_ROWS),
+        width=st.sampled_from(ORACLE_WIDTHS),
+        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        shape=st.sampled_from(["random", "identical", "some-empty"]),
+        cross=st.booleans(),
+    )
+    def test_packed_equals_dense(self, seed, n, m, width, density, shape, cross):
+        rng = np.random.default_rng(seed)
+        left = _oracle_rows(rng, n, width, density, shape)
+        right = _oracle_rows(rng, m, width, density, shape) if cross else None
+        packed = pairwise_jaccard(left, right, kernel="packed")
+        dense = pairwise_jaccard(left, right, kernel="dense")
+        assert packed.shape == dense.shape == (n, m if cross else n)
+        assert packed.dtype == dense.dtype == np.float64
+        assert (packed == dense).all()
+
+    @pytest.mark.parametrize("width", [255, 256, 300])
+    def test_full_rows_cross_the_uint8_limit(self, width):
+        """Rows with more than 255 keywords accumulate past uint8 and skip
+        the distance table; both must still match the oracle."""
+        rng = np.random.default_rng(width)
+        matrix = np.ones((5, width), dtype=bool)
+        matrix[1, : width // 2] = False
+        matrix[2] = rng.random(width) < 0.5
+        matrix[3] = False
+        words = pack_rows(matrix)
+        counts = matrix.astype(np.int64) @ matrix.astype(np.int64).T
+        assert (packed_intersections(words, words) == counts).all()
+        assert (
+            pairwise_jaccard(matrix, kernel="packed")
+            == pairwise_jaccard(matrix, kernel="dense")
+        ).all()
+
+    def test_popcount_fallback_without_bitwise_count(self, monkeypatch):
+        monkeypatch.setattr(bitpack, "_HAS_BITWISE_COUNT", False)
+        rng = np.random.default_rng(9)
+        left = rng.random((30, 97)) < 0.3
+        right = rng.random((20, 97)) < 0.3
+        assert (
+            packed_intersections(pack_rows(left), pack_rows(right))
+            == left.astype(np.int64) @ right.astype(np.int64).T
+        ).all()
+        assert (
+            pairwise_jaccard(left, right, kernel="packed")
+            == pairwise_jaccard(left, right, kernel="dense")
+        ).all()
 
 
 class TestKernelConfig:
